@@ -10,10 +10,12 @@ This subpackage provides interchangeable implementations, verified
 against each other in the test suite:
 
 * :mod:`repro.primitives.conv3d` — the production plain-layout path.
-  It decomposes the convolution over kernel offsets so every step is
-  one BLAS SGEMM (``numpy.tensordot``) on a strided view, which is the
-  same "convolution as matrix multiply" engine MKL-DNN ultimately
-  drives, with NumPy's BLAS standing in for the AVX512 JIT kernels.
+  Kernel offsets are folded into the GEMM reduction dimension over
+  per-call "im2col" column buffers, so each pass is a few large BLAS
+  SGEMM calls (48 per scaled_32 training step at batch 1, against ~380
+  for one call per kernel offset) — the same "convolution as matrix
+  multiply" engine MKL-DNN ultimately drives, with NumPy's BLAS
+  standing in for the AVX512 JIT kernels.
 * :mod:`repro.primitives.direct` — a structurally faithful port of the
   paper's Algorithm 1: channel-blocked layouts (``nCdhw16c``), explicit
   loops over output/input channel blocks and kernel offsets, and a

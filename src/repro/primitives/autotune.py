@@ -1,10 +1,8 @@
 """Shape-keyed kernel autotuner with a persisted tuning cache.
 
 The paper gets its single-node speed from hand-picked MKL-DNN kernels;
-which formulation wins (im2col-GEMM, offset-loop GEMM, Algorithm-1
-direct, blocked-native) depends on the layer shape — conv1's 4 input
-channels want im2col, the deep 256-channel layers want the blocked
-loop.  Rather than hard-coding that table, the ``"auto"`` registry
+which formulation wins (column GEMM, Algorithm-1 direct,
+blocked-native) depends on the layer shape.  Rather than hard-coding that table, the ``"auto"`` registry
 policy races the candidates **once per shape key** and replays the
 winner forever after:
 

@@ -7,31 +7,44 @@ framework.
 
 Implementation strategy
 -----------------------
-A direct convolution is a sum over kernel offsets of strided
-element-wise products.  We exploit that algebraically: for each of the
-``KD*KH*KW`` kernel offsets the contribution to the whole output tensor
-is a single matrix multiply between a ``(OC, IC)`` weight slice and an
-``(IC, N*OD*OH*OW)`` strided view of the input.  This turns the whole
-convolution into at most ``K^3`` BLAS SGEMM calls with no im2col buffer
-blow-up — the CosmoFlow kernels are at most 4x4x4, so 64 GEMMs.  NumPy's
-BLAS plays the role of the paper's JIT-generated AVX512 microkernels.
+Every pass is a few large BLAS SGEMM calls over "im2col" columns.  The
+column matrix of one sample stacks, for each of the ``IC*KD*KH*KW``
+(input channel, kernel offset) pairs, the strided window of input
+voxels that offset multiplies against: shape ``(IC*K^3, P)`` with
+``P = OD*OH*OW``.  :func:`_windows` exposes it as a zero-copy strided
+view; each kernel copies it into a buffer allocated per call (never
+module-global state, since threaded ranks share this module), one
+output-depth slab at a time so the buffer stays bounded on large
+volumes.  Folding the kernel offsets into the reduction dimension this
+way is the NumPy counterpart of the paper's MKL-DNN design point: each
+layer makes a few large calls instead of ``K^3`` small ones.
 
-The same decomposition runs backward-data (scatter-add into strided
-views of the input gradient) and backward-weights (contract input
-windows against the output gradient), which is exactly the duality the
-paper uses: "the backward weights operator is equivalent to a forward
-convolution with large inputs and kernels".
+* **Forward:** ``W(OC, IC*K^3) @ cols(IC*K^3, P)`` — one GEMM per
+  sample and depth slab, written straight into the NCDHW output.
+* **Backward-weights:** ``G(OC, P) @ cols^T`` accumulated over samples
+  and slabs — the paper's duality: "the backward weights operator is
+  equivalent to a forward convolution with large inputs and kernels".
+* **Backward-data:** for each kernel-depth plane ``zd``,
+  ``W^T[zd](KH*KW*IC, OC) @ G(OC, P)``, then a strided scatter-add
+  ("col2im") of the ``KH*KW`` column blocks into the padded input
+  gradient.
+
+A scaled_32 training step at batch 1 therefore makes 48 BLAS calls
+(17 forward, 17 backward-weights, 14 backward-data) where one call per
+kernel offset made 381; a tiny_16 step makes 12 instead of 189.
+NumPy's BLAS plays the role of the paper's JIT-generated AVX512
+microkernels.
 
 All kernels accept ``stride`` and symmetric zero ``padding``; CosmoFlow
-uses stride 1 and valid (0) padding for convolutions, and the pooling
-module reuses these entry points with stride 2.
+uses stride 1 and valid (0) padding for convolutions.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv3d_output_shape",
@@ -42,6 +55,15 @@ __all__ = [
 ]
 
 Shape3 = Tuple[int, int, int]
+
+#: Upper bound, in elements, on one call's column buffer (1 MiB of
+#: fp32) unless a single output-depth plane needs more.  Larger columns
+#: run in output-depth slabs: the GEMMs stay large (>= one depth plane
+#: of output voxels), the buffer stays cache-sized, and a scaled_32
+#: training step allocates no more at its peak than one-GEMM-per-offset
+#: kernels did (a 16x larger cap kept conv2's 7 MB columns whole and
+#: raised the step's peak RSS by ~5%).
+_COLUMN_BUDGET = 1 << 18
 
 
 def _triple(v) -> Shape3:
@@ -83,76 +105,53 @@ def _pad_input(x: np.ndarray, padding: Shape3) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
 
 
-#: Use the im2col path when the reduction dimension (IC * K^3) is at
-#: most this: small-channel layers (CosmoFlow's conv1) are memory-bound
-#: in the offset-loop formulation (K^3 full passes over the output),
-#: whereas one GEMM over an im2col buffer touches memory O(1) times.
-_IM2COL_MAX_REDUCTION = 128
+def _windows(xp: np.ndarray, kernel: Shape3, stride: Shape3, out_shape: Shape3) -> np.ndarray:
+    """Read-only im2col view ``(N, C, KD, KH, KW, OD, OH, OW)`` of padded ``xp``.
 
-
-def _forward_im2col(
-    x: np.ndarray, w: np.ndarray, stride: Shape3, out_shape: Shape3
-) -> np.ndarray:
-    """Forward conv as a single GEMM per depth-slab over im2col columns."""
-    n, ic = x.shape[:2]
-    oc = w.shape[0]
-    kd, kh, kw = w.shape[2:]
-    od, oh, ow = out_shape
+    Element ``[n, c, zd, zh, zw, d, h, w]`` is the input voxel that
+    output voxel ``(d, h, w)`` multiplies against kernel offset
+    ``(zd, zh, zw)``: ``xp[n, c, zd + sd*d, zh + sh*h, zw + sw*w]``.
+    No data moves; reshaping a slice of it to ``(C*K^3, voxels)`` makes
+    the column copy.
+    """
+    sn, sc, s_d, s_h, s_w = xp.strides
     sd, sh, sw = stride
-    w2 = w.reshape(oc, ic * kd * kh * kw)
-    out = np.empty((n, oc, od, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
-    # Slab over output depth to bound the column buffer to ~tens of MB.
-    target_elems = 16_000_000
-    slab = max(1, min(od, target_elems // max(1, ic * kd * kh * kw * oh * ow)))
-    cols = np.empty((ic, kd, kh, kw, slab, oh, ow), dtype=x.dtype)
+    return as_strided(
+        xp,
+        shape=xp.shape[:2] + tuple(kernel) + tuple(out_shape),
+        strides=(sn, sc, s_d, s_h, s_w, s_d * sd, s_h * sh, s_w * sw),
+        writeable=False,
+    )
+
+
+def _slabs(n: int, rows: int, out_shape: Shape3) -> Iterator[Tuple[int, int, int]]:
+    """``(sample, d0, d1)`` column slabs of at most ``_COLUMN_BUDGET`` elements."""
+    od, oh, ow = out_shape
+    slab = max(1, min(od, _COLUMN_BUDGET // max(1, rows * oh * ow)))
     for b in range(n):
         for d0 in range(0, od, slab):
-            d1 = min(d0 + slab, od)
-            cur = cols[:, :, :, :, : d1 - d0]
-            for zd in range(kd):
-                for zh in range(kh):
-                    for zw in range(kw):
-                        cur[:, zd, zh, zw] = x[
-                            b,
-                            :,
-                            sd * d0 + zd : sd * d1 + zd : sd,
-                            zh : zh + sh * oh : sh,
-                            zw : zw + sw * ow : sw,
-                        ]
-            out[b, :, d0:d1] = (
-                w2 @ cur.reshape(ic * kd * kh * kw, (d1 - d0) * oh * ow)
-            ).reshape(oc, d1 - d0, oh, ow)
-    return out
+            yield b, d0, min(d0 + slab, od)
 
 
-def conv3d_forward_im2col(
-    x: np.ndarray,
-    w: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride=1,
-    padding=0,
-) -> np.ndarray:
-    """Forward convolution that always takes the im2col-GEMM path.
+def _column_slabs(
+    xp: np.ndarray, kernel: Shape3, stride: Shape3, out_shape: Shape3
+) -> Iterator[Tuple[int, int, int, np.ndarray]]:
+    """``(sample, d0, d1, cols)`` for every column slab of padded ``xp``.
 
-    :func:`conv3d_forward` picks im2col automatically for small
-    reduction dimensions; this entry point forces it regardless of
-    shape, so the autotuner can time im2col against the offset-loop and
-    blocked formulations on every layer.  Identical signature and
-    semantics to :func:`conv3d_forward`.
+    ``cols`` is the ``(C*K^3, (d1-d0)*OH*OW)`` column matrix of output
+    depths ``[d0, d1)``, copied into one buffer that this call allocates
+    and reuses: it is overwritten by the next slab.
     """
-    if x.ndim != 5:
-        raise ValueError(f"expected NCDHW input, got shape {x.shape}")
-    if w.ndim != 5:
-        raise ValueError(f"expected (OC, IC, KD, KH, KW) weights, got shape {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"input channels {x.shape[1]} != weight channels {w.shape[1]}")
-    stride = _triple(stride)
-    padding = _triple(padding)
-    od, oh, ow = conv3d_output_shape(x.shape[2:], w.shape[2:], stride, padding)
-    out = _forward_im2col(_pad_input(x, padding), w, stride, (od, oh, ow))
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1, 1)
-    return np.ascontiguousarray(out.astype(x.dtype, copy=False))
+    _, oh, ow = out_shape
+    win = _windows(xp, kernel, stride, out_shape)
+    rows = int(np.prod(win.shape[1:5]))
+    buf = None
+    for b, d0, d1 in _slabs(xp.shape[0], rows, out_shape):
+        if buf is None:
+            buf = np.empty(rows * (d1 - d0) * oh * ow, dtype=xp.dtype)
+        cols = buf[: rows * (d1 - d0) * oh * ow].reshape(win.shape[1:5] + (d1 - d0, oh, ow))
+        np.copyto(cols, win[b, ..., d0:d1, :, :])
+        yield b, d0, d1, cols.reshape(rows, -1)
 
 
 def conv3d_forward(
@@ -162,7 +161,7 @@ def conv3d_forward(
     stride=1,
     padding=0,
 ) -> np.ndarray:
-    """Forward 3D convolution.
+    """Forward 3D convolution: one column GEMM per sample and depth slab.
 
     Parameters
     ----------
@@ -187,37 +186,22 @@ def conv3d_forward(
         raise ValueError(f"input channels {x.shape[1]} != weight channels {w.shape[1]}")
     stride = _triple(stride)
     padding = _triple(padding)
-    kd, kh, kw = w.shape[2:]
-    od, oh, ow = conv3d_output_shape(x.shape[2:], w.shape[2:], stride, padding)
-    n, _, oc = x.shape[0], x.shape[1], w.shape[0]
-    xp = _pad_input(x, padding)
-    sd, sh, sw = stride
-
-    if x.shape[1] * kd * kh * kw <= _IM2COL_MAX_REDUCTION:
-        out_i = _forward_im2col(xp, w, stride, (od, oh, ow))
-        if bias is not None:
-            out_i += bias.reshape(1, -1, 1, 1, 1)
-        return np.ascontiguousarray(out_i.astype(x.dtype, copy=False))
-
-    out = np.zeros((oc, n, od, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
-    for zd in range(kd):
-        for zh in range(kh):
-            for zw in range(kw):
-                # Strided view selecting the input element each output
-                # voxel multiplies against this kernel offset.
-                window = xp[
-                    :,
-                    :,
-                    zd : zd + sd * od : sd,
-                    zh : zh + sh * oh : sh,
-                    zw : zw + sw * ow : sw,
-                ]
-                # (OC, IC) x (N, IC, OD, OH, OW) -> (OC, N, OD, OH, OW)
-                out += np.tensordot(w[:, :, zd, zh, zw], window, axes=([1], [1]))
-    out = out.transpose(1, 0, 2, 3, 4)
+    out_shape = conv3d_output_shape(x.shape[2:], w.shape[2:], stride, padding)
+    n, oc = x.shape[0], w.shape[0]
+    plane = out_shape[1] * out_shape[2]
+    w2 = w.reshape(oc, -1)
+    out = np.empty((n, oc) + out_shape, dtype=np.result_type(x.dtype, w.dtype))
+    out2 = out.reshape(n, oc, -1)
+    for b, d0, d1, cols in _column_slabs(_pad_input(x, padding), w.shape[2:], stride, out_shape):
+        np.matmul(w2, cols, out=out2[b, :, d0 * plane : d1 * plane])
     if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1, 1)
-    return np.ascontiguousarray(out.astype(x.dtype, copy=False))
+        out += bias.reshape(1, -1, 1, 1, 1)
+    return out.astype(x.dtype, copy=False)
+
+
+#: The forward pass is the im2col GEMM for every shape; the old name
+#: stays so ``--conv-impl im2col`` and the autotuner keep resolving.
+conv3d_forward_im2col = conv3d_forward
 
 
 def conv3d_backward_data(
@@ -228,6 +212,10 @@ def conv3d_backward_data(
     padding=0,
 ) -> np.ndarray:
     """Gradient of the convolution w.r.t. its input.
+
+    One GEMM per sample, kernel-depth plane and depth slab produces the
+    plane's ``(KH, KW, IC)`` column gradients, which a strided
+    scatter-add (col2im) folds into the padded input gradient.
 
     Parameters
     ----------
@@ -258,32 +246,42 @@ def conv3d_backward_data(
     kd, kh, kw = w.shape[2:]
     sd, sh, sw = stride
     pd, ph, pw = padding
-    idp = input_shape[0] + 2 * pd
-    ihp = input_shape[1] + 2 * ph
-    iwp = input_shape[2] + 2 * pw
-
-    grad_in = np.zeros((n, ic, idp, ihp, iwp), dtype=grad_out.dtype)
-    for zd in range(kd):
-        for zh in range(kh):
-            for zw in range(kw):
-                # (IC, OC) x (N, OC, OD, OH, OW) -> (IC, N, OD, OH, OW)
-                contrib = np.tensordot(w[:, :, zd, zh, zw], grad_out, axes=([0], [1]))
-                grad_in[
-                    :,
-                    :,
-                    zd : zd + sd * od : sd,
-                    zh : zh + sh * oh : sh,
-                    zw : zw + sw * ow : sw,
-                ] += contrib.transpose(1, 0, 2, 3, 4)
+    padded = tuple(s + 2 * p for s, p in zip(input_shape, padding))
+    plane = oh * ow
+    rows = kh * kw * ic
+    # (KD, KH*KW*IC, OC): one transposed weight plane per kernel depth.
+    wt = np.ascontiguousarray(w.transpose(2, 3, 4, 1, 0)).reshape(kd, rows, oc)
+    g2 = grad_out.reshape(n, oc, -1)
+    grad_in = np.zeros((n, ic) + padded, dtype=grad_out.dtype)
+    buf = None
+    for b, d0, d1 in _slabs(n, rows, (od, oh, ow)):
+        if buf is None:
+            buf = np.empty(rows * (d1 - d0) * plane, dtype=np.result_type(w.dtype, grad_out.dtype))
+        cols = buf[: rows * (d1 - d0) * plane].reshape(rows, -1)
+        blocks = cols.reshape(kh, kw, ic, d1 - d0, oh, ow)
+        for zd in range(kd):
+            np.matmul(wt[zd], g2[b, :, d0 * plane : d1 * plane], out=cols)
+            lo = zd + sd * d0
+            for zh in range(kh):
+                for zw in range(kw):
+                    grad_in[
+                        b,
+                        :,
+                        lo : lo + sd * (d1 - d0) : sd,
+                        zh : zh + sh * oh : sh,
+                        zw : zw + sw * ow : sw,
+                    ] += blocks[zh, zw]
     if (pd, ph, pw) != (0, 0, 0):
-        grad_in = grad_in[
-            :,
-            :,
-            pd : idp - pd,
-            ph : ihp - ph,
-            pw : iwp - pw,
-        ]
-    return np.ascontiguousarray(grad_in)
+        grad_in = np.ascontiguousarray(
+            grad_in[
+                :,
+                :,
+                pd : padded[0] - pd,
+                ph : padded[1] - ph,
+                pw : padded[2] - pw,
+            ]
+        )
+    return grad_in
 
 
 def conv3d_backward_weights(
@@ -295,6 +293,8 @@ def conv3d_backward_weights(
     with_bias: bool = False,
 ):
     """Gradient of the convolution w.r.t. weights (and optionally bias).
+
+    ``G(OC, P) @ cols(IC*K^3, P)^T`` per sample and depth slab, summed.
 
     Parameters
     ----------
@@ -323,26 +323,13 @@ def conv3d_backward_weights(
             f"(expected {expected})"
         )
     ic = x.shape[1]
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    xp = _pad_input(x, padding)
-
-    grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_out.dtype)
-    for zd in range(kd):
-        for zh in range(kh):
-            for zw in range(kw):
-                window = xp[
-                    :,
-                    :,
-                    zd : zd + sd * od : sd,
-                    zh : zh + sh * oh : sh,
-                    zw : zw + sw * ow : sw,
-                ]
-                # Contract over batch and all output voxels:
-                # (N, OC, OD, OH, OW) x (N, IC, OD, OH, OW) -> (OC, IC)
-                grad_w[:, :, zd, zh, zw] = np.tensordot(
-                    grad_out, window, axes=([0, 2, 3, 4], [0, 2, 3, 4])
-                )
+    plane = oh * ow
+    g2 = grad_out.reshape(n, oc, -1)
+    grad_w = np.zeros((oc, ic) + kernel, dtype=np.result_type(x.dtype, grad_out.dtype))
+    acc = grad_w.reshape(oc, -1)
+    for b, d0, d1, cols in _column_slabs(_pad_input(x, padding), kernel, stride, (od, oh, ow)):
+        acc += g2[b, :, d0 * plane : d1 * plane] @ cols.T
+    grad_w = grad_w.astype(grad_out.dtype, copy=False)
     if with_bias:
         grad_b = grad_out.sum(axis=(0, 2, 3, 4))
         return grad_w, grad_b

@@ -39,6 +39,7 @@ import numpy as np
 from repro.primitives.conv3d import (
     _pad_input,
     _triple,
+    _windows,
     conv3d_backward_data,
     conv3d_backward_weights,
     conv3d_output_shape,
@@ -308,24 +309,10 @@ def quantized_matmul(x: np.ndarray, qw: QuantizedWeights) -> np.ndarray:
 
 def _im2col_rows(x: np.ndarray, kernel, stride, padding):
     """Flattened im2col columns ``(N*OD*OH*OW, C*KD*KH*KW)``."""
-    n, c = x.shape[0], x.shape[1]
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
     od, oh, ow = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
-    xp = _pad_input(x, padding)
-    cols = np.empty((n, c, kd, kh, kw, od, oh, ow), dtype=np.float32)
-    for dz in range(kd):
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, :, dz, dy, dx] = xp[
-                    :,
-                    :,
-                    dz : dz + od * sd : sd,
-                    dy : dy + oh * sh : sh,
-                    dx : dx + ow * sw : sw,
-                ]
-    rows = cols.transpose(0, 5, 6, 7, 1, 2, 3, 4).reshape(n * od * oh * ow, -1)
-    return rows, (n, od, oh, ow)
+    win = _windows(_pad_input(x, padding), kernel, stride, (od, oh, ow))
+    rows = win.transpose(0, 5, 6, 7, 1, 2, 3, 4).reshape(x.shape[0] * od * oh * ow, -1)
+    return rows, (x.shape[0], od, oh, ow)
 
 
 def _conv3d_forward_quantized(

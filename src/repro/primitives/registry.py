@@ -8,8 +8,11 @@ dispatches to MKL-DNN when built with ``--config=mkl``.
 
 Registered implementations (see :func:`register_impl` for adding more):
 
-* ``"gemm"``    — production offset-loop/im2col hybrid (plain layout).
-* ``"im2col"``  — forced im2col-GEMM forward (backward delegates to gemm).
+* ``"gemm"``    — production column-GEMM ("im2col") kernels (plain
+  layout): a few large BLAS calls per pass, see
+  :mod:`repro.primitives.conv3d`.
+* ``"im2col"``  — the same kernels under their formulation's name, kept
+  so ``--conv-impl im2col`` and tuning caches that name it still resolve.
 * ``"direct"``  — Algorithm-1 faithful port, per-call repack into the
   blocked layout.  Padded backward passes fall back to gemm; the
   fallback is **counted** (``primitives.conv3d.<op>.fallbacks``) so A1
@@ -167,8 +170,8 @@ _IMPLS: Dict[str, ConvImpl] = {
     "im2col": ConvImpl(
         name="im2col",
         forward=_gemm.conv3d_forward_im2col,
-        # im2col is a forward formulation; backward passes share the
-        # gemm kernels by construction (not a fallback, not counted).
+        # gemm is the im2col formulation in every pass (not a fallback,
+        # not counted).
         backward_data=_gemm.conv3d_backward_data,
         backward_weights=_gemm.conv3d_backward_weights,
     ),
@@ -271,9 +274,10 @@ def auto_quantized_enabled() -> bool:
 def auto_candidates(op: str) -> list[str]:
     """Implementation names the autotuner races for ``op``.
 
-    ``im2col`` only differs from ``gemm`` in the forward pass, so it is
-    excluded from backward tuning (racing two identical kernels would
-    just double the one-time tuning cost).  The approximate ``int8`` /
+    ``im2col`` runs the same kernels as ``gemm``.  It stays in the
+    forward race, where earlier tuning caches name it, and is excluded
+    from backward tuning (racing two identical kernels would just
+    double the one-time tuning cost).  The approximate ``int8`` /
     ``int4`` kernels join the forward race only after an explicit
     :func:`set_auto_quantized` opt-in.
     """

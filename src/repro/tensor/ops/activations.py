@@ -27,14 +27,26 @@ def leaky_relu(a, alpha: float = DEFAULT_LEAKY_ALPHA) -> Tensor:
     input keeps its layout tag (and its zero padding lanes) bitwise.
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
-    mask = a.data > 0
-    scale = np.where(mask, np.array(1.0, dtype=a.dtype), np.array(alpha, dtype=a.dtype))
-    out = a.data * scale
+    x = a.data
+    slope = np.array(alpha, dtype=a.dtype)
+    # For a slope in (0, 1], max(x, alpha*x) is bitwise-equal to the
+    # masked multiply (±0, ±inf and NaN included) at a fraction of its
+    # cost.  alpha == 0 differs on +inf (0*inf is NaN), so it and any
+    # other slope keep the masked form.
+    branch_free = 0 < alpha <= 1
+    if branch_free:
+        out = np.maximum(x, slope * x)
+    else:
+        scale = np.where(x > 0, np.array(1.0, dtype=a.dtype), slope)
+        out = x * scale
 
     def backward(g):
         return (g * scale,)
 
     result = Tensor._make(out, (a,), backward, "leaky_relu")
+    if branch_free and result.requires_grad:
+        scale = (x > 0).astype(a.dtype)
+        np.maximum(scale, slope, out=scale)
     result.layout = a.layout
     result.channels = a.channels
     return result

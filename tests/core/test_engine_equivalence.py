@@ -13,13 +13,15 @@ lists, never ``approx``):
 2. **Before/after** — ``tests/golden/engine_golden.npz`` holds final
    parameters and loss curves captured from the PRE-refactor trainers
    (commit 20df40d, generated by
-   ``tests/golden/generate_engine_golden.py``).  The compatibility
-   shims must still reproduce those bits exactly.
+   ``tests/golden/generate_engine_golden.py``, and regenerated once for
+   the column-GEMM conv kernels).  The compatibility shims must still
+   reproduce those bits exactly.
 
 The golden fixtures are host-generated: a different BLAS/NumPy build
 may legitimately produce different bits, so the golden test skips (with
-a loud reason) if the *seed* sanity value doesn't match, rather than
-failing on an unrelated machine.
+a loud reason) if the host fingerprint — a seeded NumPy SGEMM and
+reduction, no ``repro`` code — doesn't match, rather than failing on an
+unrelated machine.
 """
 
 from pathlib import Path
@@ -196,8 +198,8 @@ class TestGoldenPreRefactor:
         return np.load(GOLDEN)
 
     def _check_host(self, golden):
-        # Portability guard built ONLY from refactor-independent APIs
-        # (raw model math), so a numerics regression in the engine still
+        # Portability guard that runs no repro code (raw NumPy SGEMM),
+        # so a numerics change in the engine or the kernels still
         # FAILS — only a different BLAS/NumPy build skips.
         from tests.golden.generate_engine_golden import host_fingerprint
 

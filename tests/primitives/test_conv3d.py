@@ -3,17 +3,25 @@
 Correctness anchors:
 * forward vs an independent scipy.ndimage/scipy.signal reference,
 * backward-data and backward-weights vs numerical finite differences,
+* all three passes vs the earlier one-GEMM-per-kernel-offset kernels
+  (kept below as a test-only reference), at a tolerance, since the
+  column GEMMs sum in a different order,
 * shape arithmetic edge cases.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import correlate
 
 from repro.primitives.conv3d import (
+    _pad_input,
+    _triple,
     conv3d_backward_data,
     conv3d_backward_weights,
     conv3d_forward,
+    conv3d_forward_im2col,
     conv3d_output_shape,
 )
 
@@ -213,3 +221,135 @@ class TestBackward:
         w = np.zeros((2, 1, 3, 3, 3))
         with pytest.raises(ValueError):
             conv3d_backward_data(g, w, (5, 5, 5))
+
+
+# ---------------------------------------------------------------------------
+# Tolerance gate against the per-offset kernels the column GEMMs replaced
+# ---------------------------------------------------------------------------
+
+
+def _offset_windows(xp, kernel, stride, out_shape):
+    """``((zd, zh, zw), strided view)`` for every kernel offset."""
+    (od, oh, ow), (sd, sh, sw) = out_shape, stride
+    for zd in range(kernel[0]):
+        for zh in range(kernel[1]):
+            for zw in range(kernel[2]):
+                yield (zd, zh, zw), (
+                    slice(zd, zd + sd * od, sd),
+                    slice(zh, zh + sh * oh, sh),
+                    slice(zw, zw + sw * ow, sw),
+                )
+
+
+def offset_forward(x, w, bias, stride, padding):
+    """Forward as one ``tensordot`` per kernel offset."""
+    stride, padding = _triple(stride), _triple(padding)
+    out_shape = conv3d_output_shape(x.shape[2:], w.shape[2:], stride, padding)
+    xp = _pad_input(x, padding)
+    out = np.zeros((w.shape[0], x.shape[0]) + out_shape, dtype=x.dtype)
+    for (zd, zh, zw), sl in _offset_windows(xp, w.shape[2:], stride, out_shape):
+        out += np.tensordot(w[:, :, zd, zh, zw], xp[(slice(None), slice(None)) + sl], axes=([1], [1]))
+    out = out.transpose(1, 0, 2, 3, 4) + bias.reshape(1, -1, 1, 1, 1)
+    return np.ascontiguousarray(out)
+
+
+def offset_backward_data(g, w, input_shape, stride, padding):
+    """Backward-data as one ``tensordot`` and strided add per kernel offset."""
+    stride, padding = _triple(stride), _triple(padding)
+    padded = tuple(s + 2 * p for s, p in zip(input_shape, padding))
+    grad_in = np.zeros(g.shape[:1] + (w.shape[1],) + padded, dtype=g.dtype)
+    for (zd, zh, zw), sl in _offset_windows(grad_in, w.shape[2:], stride, g.shape[2:]):
+        contrib = np.tensordot(w[:, :, zd, zh, zw], g, axes=([0], [1]))
+        grad_in[(slice(None), slice(None)) + sl] += contrib.transpose(1, 0, 2, 3, 4)
+    crop = tuple(slice(p, s - p) for s, p in zip(padded, padding))
+    return grad_in[(slice(None), slice(None)) + crop]
+
+
+def offset_backward_weights(x, g, kernel, stride, padding):
+    """Backward-weights as one ``tensordot`` per kernel offset."""
+    stride, padding = _triple(stride), _triple(padding)
+    xp = _pad_input(x, padding)
+    grad_w = np.empty((g.shape[1], x.shape[1]) + tuple(kernel), dtype=g.dtype)
+    for (zd, zh, zw), sl in _offset_windows(xp, kernel, stride, g.shape[2:]):
+        window = xp[(slice(None), slice(None)) + sl]
+        grad_w[:, :, zd, zh, zw] = np.tensordot(g, window, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
+    return grad_w, g.sum(axis=(0, 2, 3, 4))
+
+
+#: Normwise relative tolerance: each pass may differ from the per-offset
+#: kernels by at most ``RTOL`` of the largest reference magnitude, since
+#: a reordered fp32 sum moves near-cancelling entries by more than
+#: ``RTOL`` of their own size.
+RTOL = 1e-5
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * float(np.abs(want).max()))
+
+
+def _check_against_offset_kernels(n, ic, oc, size, kernel, stride, padding, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, ic) + tuple(size)).astype(np.float32)
+    w = rng.standard_normal((oc, ic) + tuple(kernel)).astype(np.float32)
+    b = rng.standard_normal(oc).astype(np.float32)
+    want = offset_forward(x, w, b, stride, padding)
+    _assert_close(conv3d_forward(x, w, b, stride, padding), want)
+    g = rng.standard_normal(want.shape).astype(np.float32)
+    _assert_close(
+        conv3d_backward_data(g, w, x.shape[2:], stride, padding),
+        offset_backward_data(g, w, x.shape[2:], stride, padding),
+    )
+    gw, gb = conv3d_backward_weights(x, g, kernel, stride, padding, with_bias=True)
+    want_w, want_b = offset_backward_weights(x, g, kernel, stride, padding)
+    _assert_close(gw, want_w)
+    _assert_close(gb, want_b)
+
+
+class TestMatchesOffsetKernels:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "layer,ic,oc,size,k",
+        [
+            ("conv1", 1, 16, 32, 3),
+            ("conv2", 16, 32, 15, 4),
+            ("conv3", 32, 64, 6, 3),
+            ("conv4", 64, 64, 4, 3),
+        ],
+    )
+    def test_scaled_32_layers(self, layer, ic, oc, size, k, n):
+        _check_against_offset_kernels(n, ic, oc, (size,) * 3, (k,) * 3, 1, 0, seed=ic + n)
+
+    @pytest.mark.parametrize(
+        "stride,padding",
+        [(1, 0), (1, 1), (2, 0), (2, 1), ((1, 2, 3), 0), ((2, 1, 3), (1, 0, 2))],
+    )
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_stride_and_padding(self, stride, padding, n):
+        _check_against_offset_kernels(n, 5, 7, (9, 10, 11), (3, 2, 3), stride, padding, seed=n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 3]),
+        ic=st.integers(1, 19),
+        oc=st.integers(1, 19),
+        kernel=st.tuples(*[st.integers(1, 4)] * 3),
+        stride=st.tuples(*[st.integers(1, 3)] * 3),
+        padding=st.tuples(*[st.integers(0, 1)] * 3),
+        extra=st.tuples(*[st.integers(0, 5)] * 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_shape_sweep(self, n, ic, oc, kernel, stride, padding, extra, seed):
+        """Ragged channel counts, anisotropic kernels, strides and padding."""
+        size = tuple(k + e for k, e in zip(kernel, extra))
+        _check_against_offset_kernels(n, ic, oc, size, kernel, stride, padding, seed)
+
+    def test_slabbed_columns_match(self, monkeypatch):
+        """Volumes whose columns exceed the buffer budget run in depth slabs."""
+        from repro.primitives import conv3d
+
+        monkeypatch.setattr(conv3d, "_COLUMN_BUDGET", 500)
+        _check_against_offset_kernels(2, 3, 4, (9, 8, 7), (3, 3, 2), 1, (1, 0, 1), seed=3)
+
+    def test_im2col_name_is_the_gemm_forward(self):
+        assert conv3d_forward_im2col is conv3d_forward

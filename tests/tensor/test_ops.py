@@ -161,6 +161,61 @@ class TestActivations:
         check_grads(lambda t: (ops.leaky_relu(t["x"]) ** 2).sum(), {"x": x})
 
 
+def _masked_leaky_relu(x, alpha):
+    """The masked-multiply formula ``leaky_relu`` must reproduce bitwise."""
+    scale = np.where(x > 0, np.array(1.0, dtype=x.dtype), np.array(alpha, dtype=x.dtype))
+    return x * scale, scale
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestLeakyReluBitwise:
+    @staticmethod
+    def _edge_values(dtype):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(257).astype(dtype)
+        tiny = np.finfo(dtype).smallest_subnormal
+        specials = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1.0, -1.0]
+        return np.concatenate([x, np.array(specials, dtype=dtype)])
+
+    @staticmethod
+    def _assert_bitwise(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        uint = np.dtype(f"u{got.dtype.itemsize}")
+        np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    def test_forward_and_backward_match_masked_formula(self, alpha, dtype):
+        x = self._edge_values(dtype)
+        want, scale = _masked_leaky_relu(x, alpha)
+        t = Tensor(x.copy(), requires_grad=True)
+        out = ops.leaky_relu(t, alpha=alpha)
+        self._assert_bitwise(out.data, want)
+        g = np.random.default_rng(13).standard_normal(x.shape).astype(dtype)
+        out.backward(g)
+        self._assert_bitwise(t.grad, g * scale)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    def test_untaped_forward_matches(self, alpha):
+        from repro.tensor.tensor import no_grad
+
+        x = self._edge_values(np.float32)
+        with no_grad():
+            out = ops.leaky_relu(Tensor(x, requires_grad=True), alpha=alpha)
+        assert not out.requires_grad
+        self._assert_bitwise(out.data, _masked_leaky_relu(x, alpha)[0])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0])
+    def test_blocked_zero_lanes_stay_positive_zero(self, alpha):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 5, 3, 3, 3)).astype(np.float32)
+        b = ops.to_layout(Tensor(x), "nCdhw16c")
+        out = ops.leaky_relu(b, alpha=alpha)
+        self._assert_bitwise(out.data, _masked_leaky_relu(b.data, alpha)[0])
+        lanes = out.data.reshape(-1, 16)[:, 5:]
+        assert not np.signbit(lanes).any() and not lanes.any()
+
+
 class TestDense:
     def test_matmul_grad(self):
         rng = np.random.default_rng(12)
